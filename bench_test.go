@@ -404,10 +404,9 @@ func BenchmarkSystemResetRun(b *testing.B) {
 	}
 }
 
-// --- Single-cell benchmarks (intra-cell parallelism) ---
+// --- Single-cell benchmarks ---
 
-// BenchmarkRunOneCell pins the cost of one hot simulation cell — the
-// unit the partitioned engine tries to speed up. Two sizes: the paper's
+// BenchmarkRunOneCell pins the cost of one hot simulation cell. Two sizes: the paper's
 // CM workload at scale 0.3 on the full Table 1 machine (the realistic
 // hot cell; CM's conv GEMM dims are scale-insensitive, so it stays a
 // multi-second cell), and a CI-sized FwSoft cell on the reduced bench
@@ -437,40 +436,6 @@ func BenchmarkRunOneCell(b *testing.B) {
 			}
 			w := spec.Build(tc.scale)
 			sys.Run(w) // warm capacities so the loop is steady-state
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.Reset()
-				if _, err := sys.Run(w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRunOneCellWorkers runs the CI-sized cell under CellWorkers ∈
-// {1, 2, 4} for a direct sequential-vs-partitioned comparison. Note the
-// current partitioned engine fires events in exact global order (the
-// byte-identity contract), so workers > 1 measures rotation overhead,
-// not speedup — see the intra-cell parallelism section in README.md.
-func BenchmarkRunOneCellWorkers(b *testing.B) {
-	spec, err := workloads.ByName("FwSoft")
-	if err != nil {
-		b.Fatal(err)
-	}
-	v, err := core.VariantByLabel("CacheRW")
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := spec.Build(benchScale)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sys, err := core.NewSystemWorkers(benchConfig(), v, workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys.Run(w)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -24,6 +24,8 @@ func TestFlagValidation(t *testing.T) {
 			"-window must be >= 0"},
 		{"negative scale", []string{"-scale", "-0.5", "-table", "1"},
 			"-scale must be positive"},
+		{"removed cell-workers flag", []string{"-cell-workers", "2", "-table", "1"},
+			"flag provided but not defined: -cell-workers"},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

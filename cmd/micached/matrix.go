@@ -130,6 +130,9 @@ func (s *server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	// (client gone mid-stream).
 	events := make(chan sseEvent, total+2)
 	cacheHits := 0
+	// cellsDone counts cells reported through OnCell: a failed sweep
+	// returns no results, so this is the only record of its progress.
+	cellsDone := 0
 	start := time.Now()
 
 	go func() {
@@ -143,6 +146,7 @@ func (s *server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 			Pool:             s.pool,
 			TotalsOut:        &totals,
 			OnCell: func(res core.Result, cached bool, done, total int) {
+				cellsDone++
 				if cached {
 					cacheHits++
 				} else if s.cache != nil {
@@ -166,7 +170,7 @@ func (s *server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		}
 		results, err := s.matrixFn(s.cfg, vs, specs, workloads.Scale(req.Scale), opts)
 		if err != nil {
-			s.log.Warn("matrix sweep failed", "err", err, "cells_done", len(results))
+			s.log.Warn("matrix sweep failed", "err", err, "cells_done", cellsDone)
 			events <- sseEvent{"error", errResponse{Error: err.Error()}}
 			return
 		}

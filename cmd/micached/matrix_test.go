@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -196,6 +199,54 @@ func TestMatrixValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /matrix = %d, want 405", resp.StatusCode)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for a logger writing from the
+// sweep goroutine while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestMatrixFailureLogsCellsDone checks a sweep that fails after some
+// cells completed: the stream ends in an error event, and the log
+// reports how many cells finished before the failure.
+func TestMatrixFailureLogsCellsDone(t *testing.T) {
+	var logs lockedBuffer
+	srv := testServer(serverOpts{Queue: 4, Log: slog.New(slog.NewTextHandler(&logs, nil))})
+	srv.matrixFn = func(cfg core.Config, vs []core.Variant, specs []workloads.Spec,
+		scale workloads.Scale, opts core.RunMatrixOpts) ([]core.Result, error) {
+		for i, name := range []string{"FwSoft", "FwPool"} {
+			opts.OnCell(core.Result{Workload: name, Variant: "CacheRW"}, false, i+1, 3)
+		}
+		return nil, errors.New("third cell failed")
+	}
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+
+	_, evs := postMatrix(t, ts,
+		`{"scale":0.05,"workloads":["FwSoft","FwPool","BwSoft"],"variants":["CacheRW"]}`)
+	if len(evs) != 3 {
+		t.Fatalf("got %d events, want 2 cells + error", len(evs))
+	}
+	if last := evs[len(evs)-1]; last.name != "error" {
+		t.Fatalf("stream ends in %q, want error", last.name)
+	}
+	if log := logs.String(); !strings.Contains(log, "cells_done=2") {
+		t.Fatalf("failure log does not report cells_done=2:\n%s", log)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -80,24 +81,78 @@ func TestRunMatrixDefaultMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunMatrixParallelFirstError asserts the parallel path reports the
-// same (first-in-cell-order) error the sequential path would.
+// TestRunMatrixParallelFirstError asserts every worker count reports
+// the same (first-in-cell-order) error as a single worker.
 func TestRunMatrixParallelFirstError(t *testing.T) {
 	bad := testConfig()
 	bad.GPUClockMHz = 0
 	specs := smallSpecs(t, "FwSoft", "BwSoft")
 	vs := StaticVariants()
 
-	seqRes, seqErr := RunMatrixWith(bad, vs, specs, testScale, RunMatrixOpts{Workers: 1})
-	parRes, parErr := RunMatrixWith(bad, vs, specs, testScale, RunMatrixOpts{Workers: 4})
-	if seqErr == nil || parErr == nil {
-		t.Fatal("invalid config must error on both paths")
+	_, seqErr := RunMatrixWith(bad, vs, specs, testScale, RunMatrixOpts{Workers: 1})
+	if seqErr == nil {
+		t.Fatal("invalid config must error")
 	}
-	if seqRes != nil || parRes != nil {
-		t.Fatal("failed matrix must not return partial results")
+	for _, workers := range []int{1, 2, 4} {
+		res, err := RunMatrixWith(bad, vs, specs, testScale, RunMatrixOpts{Workers: workers})
+		if err == nil {
+			t.Fatalf("Workers=%d: invalid config must error", workers)
+		}
+		if res != nil {
+			t.Fatalf("Workers=%d: failed matrix must not return partial results", workers)
+		}
+		if err.Error() != seqErr.Error() {
+			t.Fatalf("Workers=%d: error %q differs from Workers=1 %q", workers, err, seqErr)
+		}
 	}
-	if seqErr.Error() != parErr.Error() {
-		t.Fatalf("parallel error %q differs from sequential %q", parErr, seqErr)
+}
+
+// TestRunMatrixSingleWorkerStopsAtFailure pins that a Workers=1 matrix
+// runs its cells in order and starts none after the first failing one:
+// the second of four cells panics in Build, and the later two are
+// neither looked up nor built.
+func TestRunMatrixSingleWorkerStopsAtFailure(t *testing.T) {
+	base, err := workloads.ByName("FwSoft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lookups, builds []string
+	spec := func(name string, broken bool) workloads.Spec {
+		return workloads.Spec{Name: name, Class: base.Class, Build: func(s workloads.Scale) workloads.Workload {
+			builds = append(builds, name)
+			if broken {
+				panic("broken spec")
+			}
+			return base.Build(s)
+		}}
+	}
+	specs := []workloads.Spec{spec("A", false), spec("B", true), spec("C", false), spec("D", false)}
+	v, err := VariantByLabel("CacheR")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	func() {
+		defer func() {
+			cp, ok := recover().(CellPanic)
+			if !ok || cp.Workload != "B" {
+				t.Fatalf("recovered %#v, want CellPanic for cell B", cp)
+			}
+		}()
+		_, _ = RunMatrixWith(testConfig(), []Variant{v}, specs, testScale, RunMatrixOpts{
+			Workers: 1,
+			Lookup: func(s workloads.Spec, _ Variant) (stats.Snapshot, bool) {
+				lookups = append(lookups, s.Name)
+				return stats.Snapshot{}, false
+			},
+		})
+	}()
+	want := []string{"A", "B"}
+	if !reflect.DeepEqual(lookups, want) {
+		t.Fatalf("looked up %v, want %v", lookups, want)
+	}
+	if !reflect.DeepEqual(builds, want) {
+		t.Fatalf("built %v, want %v", builds, want)
 	}
 }
 
@@ -126,7 +181,7 @@ func TestRunMatrixParallelPanicPropagates(t *testing.T) {
 }
 
 // TestRunMatrixProgress checks the progress callback counts every cell
-// exactly once, monotonically, on both paths.
+// exactly once, monotonically, for one worker and for several.
 func TestRunMatrixProgress(t *testing.T) {
 	cfg := testConfig()
 	specs := smallSpecs(t, "FwSoft")
